@@ -66,7 +66,7 @@ impl Mixer {
         let mut yaw = sanitize(demand.yaw);
 
         // First pass: attitude-only deltas.
-        let attitude_delta: Vec<f64> = MIX.iter().map(|m| m[0] * roll + m[1] * pitch).collect();
+        let attitude_delta: [f64; 4] = MIX.map(|m| m[0] * roll + m[1] * pitch);
 
         // Shift collective so attitude deltas fit in [0, 1].
         let max_d = attitude_delta.iter().cloned().fold(f64::MIN, f64::max);

@@ -1011,7 +1011,9 @@ mod tests {
         // Byte-identical results with the collector armed.
         assert_eq!(plain.to_csv(), traced.to_csv());
 
-        if cfg!(feature = "trace") {
+        // The collector follows the unified `imufit-trace/enabled` feature,
+        // not this crate's `trace` feature, so ask the trace crate.
+        if imufit_trace::ENABLED {
             let bytes = std::fs::read(dir.join("m0_imu_freeze_30s.ifbb"))
                 .expect("faulty run must leave a black box");
             let bb = imufit_trace::BlackBox::decode(&bytes).expect("box must decode");

@@ -426,7 +426,7 @@ impl Ekf {
         self.inject(&delta);
 
         // Covariance update: P <- (I - K H) P, H = e_idx^T.
-        let p_row: Vec<f64> = (0..N).map(|j| self.covariance[(idx, j)]).collect();
+        let p_row: [f64; N] = std::array::from_fn(|j| self.covariance[(idx, j)]);
         for i in 0..N {
             for j in 0..N {
                 self.covariance[(i, j)] -= k[i] * p_row[j];

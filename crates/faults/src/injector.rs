@@ -183,6 +183,10 @@ pub struct FaultInjector {
     imu_spec: ImuSpec,
     faults: Vec<ScheduledFault>,
     last_clean: Vec<ImuSample>,
+    /// This tick's pristine copy of the bank; swapped with `last_clean` at
+    /// the end of [`FaultInjector::apply_bank`] so steady-state ticks
+    /// reuse both buffers instead of allocating.
+    clean: Vec<ImuSample>,
 }
 
 impl FaultInjector {
@@ -199,6 +203,7 @@ impl FaultInjector {
                 })
                 .collect(),
             last_clean: Vec::new(),
+            clean: Vec::new(),
         }
     }
 
@@ -250,7 +255,9 @@ impl FaultInjector {
             return;
         };
         let t = first.time;
-        let clean: Vec<ImuSample> = samples.to_vec();
+        self.clean.clear();
+        self.clean.extend_from_slice(samples);
+        let clean = &self.clean;
         let accel_range = self.imu_spec.accel_range();
         let gyro_range = self.imu_spec.gyro_range();
 
@@ -344,7 +351,7 @@ impl FaultInjector {
 
         // Record the clean (pre-corruption) samples for future Freeze
         // activations.
-        self.last_clean = clean;
+        std::mem::swap(&mut self.last_clean, &mut self.clean);
     }
 }
 

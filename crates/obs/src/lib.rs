@@ -39,7 +39,7 @@
 //! plus a thread-local span stack:
 //!
 //! ```
-//! let timer = imufit_obs::timer("ekf_update"); // histogram ekf_update_seconds
+//! let timer = imufit_obs::timer("store_write"); // histogram store_write_seconds
 //! {
 //!     let _guard = timer.enter();
 //!     // ... measured section ...

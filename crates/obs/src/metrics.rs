@@ -1,8 +1,9 @@
 //! The global sharded metric registry and the three metric kinds.
 //!
 //! Registration takes a short-lived lock on one shard; the returned handles
-//! update lock-free atomics, so hot paths that register once (the sim tick
-//! timer, the EKF timer) never contend on the registry itself.
+//! update lock-free atomics, so hot paths that register once (the stage
+//! profiler's tick histograms, the campaign's per-run timers) never
+//! contend on the registry itself.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -4,8 +4,7 @@
 //! The batched and scalar tick pipelines are stage-major (sensors → faults
 //! → voter → estimator → controller → dynamics); this module samples every
 //! Nth tick per thread (default [`DEFAULT_SAMPLE_PERIOD`]) and, on sampled
-//! ticks only, timestamps each stage seam and accumulates the deltas into
-//! global per-stage self-time counters. Unsampled ticks pay one
+//! ticks only, timestamps each stage seam. Unsampled ticks pay one
 //! thread-local counter increment and a branch, which is what keeps the
 //! profiler cheap enough to leave on (<2% tick overhead, proven by the
 //! `sim/profiled_tick` bench).
@@ -15,6 +14,13 @@
 //! fraction ([`accounted_fraction`]) answers "EKF predict is N% of the
 //! tick" with data. [`folded`] renders the totals as folded-stack lines
 //! (`tick;estimator 123456`) for flamegraph tooling.
+//!
+//! The profiler is also the only source of the tick latency histograms
+//! `/metrics` exports: when a sampled tick closes, each stage's self-time
+//! is observed into its [`STAGE_HISTOGRAMS`] entry and the whole tick into
+//! [`TICK_HISTOGRAM`]. Their counts therefore grow by one per *sampled*
+//! tick (1 in 64 by default), and their quantiles — `tick_p99_us` among
+//! them — estimate the distribution over a uniform sample of ticks.
 //!
 //! Like every obs facility the profiler is write-only with respect to the
 //! simulation — it reads clocks and writes its own atomics, never
@@ -57,14 +63,36 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "bookkeeping",
 ];
 
+/// Histogram each stage's sampled self-time is observed into, indexed by
+/// `Stage as usize`. The names are those of the per-tick span timers the
+/// profiler replaced, so `/metrics`, alert selectors and `triage metrics`
+/// read the same series.
+pub const STAGE_HISTOGRAMS: [&str; STAGE_COUNT] = [
+    "sim_stage_env_seconds",
+    "sim_stage_sensors_seconds",
+    "fault_injector_seconds",
+    "sim_stage_voter_seconds",
+    "ekf_update_seconds",
+    "sim_stage_control_seconds",
+    "sim_stage_dynamics_seconds",
+    "sim_stage_bookkeeping_seconds",
+];
+
+/// Histogram of whole sampled ticks (the `tick_p99_us` alert selector).
+pub const TICK_HISTOGRAM: &str = "sim_tick_seconds";
+
 /// Default sampling period: one tick in 64 is timed.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 
 #[cfg(feature = "enabled")]
 mod real {
-    use super::{Stage, DEFAULT_SAMPLE_PERIOD, STAGE_COUNT, STAGE_NAMES};
+    use super::{
+        Stage, DEFAULT_SAMPLE_PERIOD, STAGE_COUNT, STAGE_HISTOGRAMS, STAGE_NAMES, TICK_HISTOGRAM,
+    };
+    use crate::Histogram;
     use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::OnceLock;
     use std::time::Instant;
 
     static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -86,8 +114,24 @@ mod real {
         static TICK_COUNTER: Cell<u64> = const { Cell::new(0) };
     }
 
+    /// Registry handles for the tick and stage histograms, resolved on the
+    /// first sampled tick so the hot path never touches the registry.
+    struct Histograms {
+        tick: Histogram,
+        stages: [Histogram; STAGE_COUNT],
+    }
+
+    fn histograms() -> &'static Histograms {
+        static HISTOGRAMS: OnceLock<Histograms> = OnceLock::new();
+        HISTOGRAMS.get_or_init(|| Histograms {
+            tick: crate::histogram(TICK_HISTOGRAM, crate::buckets::LATENCY_S),
+            stages: STAGE_HISTOGRAMS.map(|name| crate::histogram(name, crate::buckets::LATENCY_S)),
+        })
+    }
+
     /// Turns the profiler on or off at runtime (independent of the metric
-    /// kill-switch so benches can isolate its overhead).
+    /// kill-switch so benches can isolate its overhead). Off, no tick is
+    /// sampled and the tick histograms receive nothing.
     pub fn set_enabled(on: bool) {
         ENABLED.store(on, Ordering::Relaxed);
     }
@@ -98,7 +142,8 @@ mod real {
         SAMPLE_PERIOD.store(period.max(1), Ordering::Relaxed);
     }
 
-    /// Zeroes every accumulator (tests and benches).
+    /// Zeroes every accumulator (tests and benches). The histograms are
+    /// registry metrics and keep their counts.
     pub fn reset() {
         for slot in &STAGE_NANOS {
             slot.store(0, Ordering::Relaxed);
@@ -119,6 +164,17 @@ mod real {
         tick_start: Instant,
         mark: Instant,
         stage: usize,
+        /// Self-time per stage so far this tick, flushed on drop.
+        nanos: [u64; STAGE_COUNT],
+    }
+
+    impl ActiveTick {
+        /// Attributes the time since the last mark to the open stage.
+        #[inline]
+        fn close(&mut self, now: Instant) {
+            self.nanos[self.stage] += now.duration_since(self.mark).as_nanos() as u64;
+            self.mark = now;
+        }
     }
 
     /// Opens a tick. On the sampled ticks (every Nth per thread, and only
@@ -142,6 +198,7 @@ mod real {
                 tick_start: now,
                 mark: now,
                 stage: Stage::Env as usize,
+                nanos: [0; STAGE_COUNT],
             }),
         }
     }
@@ -154,29 +211,30 @@ mod real {
         #[inline]
         pub fn stage(&mut self, stage: Stage) {
             if let Some(active) = &mut self.active {
-                let now = Instant::now();
-                STAGE_NANOS[active.stage].fetch_add(
-                    now.duration_since(active.mark).as_nanos() as u64,
-                    Ordering::Relaxed,
-                );
-                active.mark = now;
+                active.close(Instant::now());
                 active.stage = stage as usize;
             }
         }
     }
 
     impl Drop for TickGuard {
+        /// Closes the open stage and publishes the sample: the global
+        /// per-stage totals, and one observation into every stage
+        /// histogram and the tick histogram.
         fn drop(&mut self) {
-            if let Some(active) = self.active.take() {
+            if let Some(mut active) = self.active.take() {
                 let now = Instant::now();
-                STAGE_NANOS[active.stage].fetch_add(
-                    now.duration_since(active.mark).as_nanos() as u64,
-                    Ordering::Relaxed,
-                );
-                SAMPLED_TICK_NANOS.fetch_add(
-                    now.duration_since(active.tick_start).as_nanos() as u64,
-                    Ordering::Relaxed,
-                );
+                active.close(now);
+                let tick_nanos = now.duration_since(active.tick_start).as_nanos() as u64;
+                let histograms = histograms();
+                for ((total, histogram), nanos) in
+                    STAGE_NANOS.iter().zip(&histograms.stages).zip(active.nanos)
+                {
+                    total.fetch_add(nanos, Ordering::Relaxed);
+                    histogram.observe(nanos as f64 * 1e-9);
+                }
+                histograms.tick.observe(tick_nanos as f64 * 1e-9);
+                SAMPLED_TICK_NANOS.fetch_add(tick_nanos, Ordering::Relaxed);
                 SAMPLED_TICKS.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -377,32 +435,119 @@ mod tests {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         set_sample_period(1_000_000);
+        let histograms_before = histogram_counts();
         // Fresh thread: its tick counter starts at zero, so none of these
         // ticks hit the sampling period.
-        std::thread::spawn(|| {
-            for _ in 0..100 {
-                let mut guard = tick_begin();
-                guard.stage(Stage::Dynamics);
-            }
-        })
-        .join()
-        .unwrap();
+        std::thread::spawn(|| run_full_ticks(100)).join().unwrap();
         assert_eq!(sampled_ticks(), 0);
         assert_eq!(sampled_tick_nanos(), 0);
+        assert_eq!(histogram_counts(), histograms_before);
         set_sample_period(DEFAULT_SAMPLE_PERIOD);
+    }
+
+    /// Runs `ticks` profiled ticks that pass through every stage seam.
+    fn run_full_ticks(ticks: usize) {
+        const SEAMS: [Stage; STAGE_COUNT - 1] = [
+            Stage::Sensors,
+            Stage::Faults,
+            Stage::Voter,
+            Stage::Estimator,
+            Stage::Controller,
+            Stage::Dynamics,
+            Stage::Bookkeeping,
+        ];
+        for _ in 0..ticks {
+            let mut guard = tick_begin();
+            for stage in SEAMS {
+                std::hint::black_box((0..20).sum::<u64>());
+                guard.stage(stage);
+            }
+        }
+    }
+
+    /// Observation counts of the tick histogram and every stage histogram,
+    /// in that order.
+    fn histogram_counts() -> Vec<u64> {
+        std::iter::once(TICK_HISTOGRAM)
+            .chain(STAGE_HISTOGRAMS)
+            .map(|name| crate::histogram(name, crate::buckets::LATENCY_S).count())
+            .collect()
+    }
+
+    #[test]
+    fn sampled_ticks_feed_every_stage_histogram() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        reset();
+        set_sample_period(1);
+        let before = histogram_counts();
+        run_full_ticks(40);
+        let after = histogram_counts();
+        assert_eq!(sampled_ticks(), 40);
+        for ((name, b), a) in std::iter::once(TICK_HISTOGRAM)
+            .chain(STAGE_HISTOGRAMS)
+            .zip(&before)
+            .zip(&after)
+        {
+            assert_eq!(
+                a - b,
+                40,
+                "{name} must gain one observation per sampled tick"
+            );
+        }
+        set_sample_period(DEFAULT_SAMPLE_PERIOD);
+    }
+
+    #[test]
+    fn histograms_keep_the_legacy_timer_names() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let mut names: Vec<&str> = STAGE_HISTOGRAMS.to_vec();
+        names.push(TICK_HISTOGRAM);
+        names.sort_unstable();
+        let mut legacy = vec![
+            "sim_tick_seconds",
+            "fault_injector_seconds",
+            "ekf_update_seconds",
+            "sim_stage_sensors_seconds",
+            "sim_stage_voter_seconds",
+            "sim_stage_control_seconds",
+            "sim_stage_dynamics_seconds",
+            "sim_stage_env_seconds",
+            "sim_stage_bookkeeping_seconds",
+        ];
+        legacy.sort_unstable();
+        assert_eq!(names, legacy);
+        assert_eq!(
+            STAGE_HISTOGRAMS[Stage::Faults as usize],
+            "fault_injector_seconds"
+        );
+        assert_eq!(
+            STAGE_HISTOGRAMS[Stage::Estimator as usize],
+            "ekf_update_seconds"
+        );
+        assert_eq!(
+            STAGE_HISTOGRAMS[Stage::Controller as usize],
+            "sim_stage_control_seconds"
+        );
+        // One sampled tick registers all of them with the exporter.
+        set_sample_period(1);
+        run_full_ticks(1);
+        set_sample_period(DEFAULT_SAMPLE_PERIOD);
+        let json = crate::export::json();
+        for name in legacy {
+            assert!(json.contains(name), "{name} missing from {json}");
+        }
     }
 
     #[test]
     fn disabled_profiler_is_inert() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         reset();
+        let histograms_before = histogram_counts();
         set_enabled(false);
         set_sample_period(1);
-        for _ in 0..10 {
-            let mut guard = tick_begin();
-            guard.stage(Stage::Voter);
-        }
+        run_full_ticks(10);
         assert_eq!(sampled_ticks(), 0);
+        assert_eq!(histogram_counts(), histograms_before);
         set_enabled(true);
         set_sample_period(DEFAULT_SAMPLE_PERIOD);
     }

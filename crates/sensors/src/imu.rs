@@ -7,6 +7,7 @@ use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 
 use crate::accel::{AccelSpec, Accelerometer};
+use crate::bank::BankVec;
 use crate::gyro::{GyroSpec, Gyroscope};
 
 /// One IMU reading: the pair of vectors the flight stack consumes each tick.
@@ -212,7 +213,10 @@ impl RedundantImu {
 pub fn consensus(samples: &[ImuSample]) -> ImuSample {
     assert!(!samples.is_empty(), "consensus of zero samples");
     let median_axis = |extract: &dyn Fn(&ImuSample) -> f64| -> f64 {
-        let mut v: Vec<f64> = samples.iter().map(extract).collect();
+        let mut v = BankVec::<f64>::with_capacity(samples.len(), 0.0);
+        for s in samples {
+            v.push(extract(s));
+        }
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
         v[v.len() / 2]
     };

@@ -27,6 +27,7 @@
 //! ```
 
 pub mod accel;
+pub mod bank;
 pub mod baro;
 pub mod batch;
 pub mod gps;
@@ -36,6 +37,7 @@ pub mod mag;
 pub mod voter;
 
 pub use accel::Accelerometer;
+pub use bank::{BankVec, INLINE_INSTANCES};
 pub use baro::{BaroSample, BaroSpec, Barometer};
 pub use batch::VoteOutcome;
 pub use gps::{Gps, GpsSample, GpsSpec};

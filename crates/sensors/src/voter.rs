@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::bank::BankVec;
 use crate::imu::{consensus, ImuSample};
 
 /// Voting thresholds and persistence counts.
@@ -57,7 +58,7 @@ impl Default for VoterConfig {
 }
 
 /// Per-instance health as seen by the voter this tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct InstanceHealth {
     /// The instance is currently excluded from the merged output.
     pub excluded: bool,
@@ -75,8 +76,9 @@ pub struct VoterReport {
     /// The sample the flight stack should consume: the primary instance if
     /// healthy, otherwise the healthiest included instance.
     pub merged: ImuSample,
-    /// Per-instance health.
-    pub health: Vec<InstanceHealth>,
+    /// Per-instance health (inline for banks of up to
+    /// [`crate::INLINE_INSTANCES`] instances).
+    pub health: BankVec<InstanceHealth>,
     /// Instances excluded on this tick (events for the flight log).
     pub newly_excluded: Vec<usize>,
     /// Instances reinstated on this tick.
@@ -169,11 +171,12 @@ impl ImuVoter {
         // Consensus over the trusted subset; if everything is excluded
         // (can't happen through normal updates, but be safe) use the full
         // bank.
-        let trusted: Vec<ImuSample> = samples
-            .iter()
-            .zip(&self.excluded)
-            .filter_map(|(s, e)| (!e).then_some(*s))
-            .collect();
+        let mut trusted = BankVec::<ImuSample>::with_capacity(n, samples[0]);
+        for (s, e) in samples.iter().zip(&self.excluded) {
+            if !e {
+                trusted.push(*s);
+            }
+        }
         let reference = if trusted.is_empty() {
             consensus(samples)
         } else {
@@ -185,7 +188,7 @@ impl ImuVoter {
         // coin flip, so streaks only accumulate when n >= 3.
         let can_vote = n >= 3;
 
-        let mut health = Vec::with_capacity(n);
+        let mut health = BankVec::with_capacity(n, InstanceHealth::default());
         for (i, s) in samples.iter().enumerate() {
             let gyro_deviation = (s.gyro - reference.gyro).norm();
             let accel_deviation = (s.accel - reference.accel).norm();
@@ -433,6 +436,31 @@ mod tests {
             0,
         );
         assert!(report.included_count() >= 1);
+    }
+
+    #[test]
+    fn banks_beyond_the_inline_size_vote_the_same_way() {
+        // More instances than the inline buffers hold: the heap fallback
+        // must out-vote a liar exactly as a small bank does.
+        let n = crate::INLINE_INSTANCES + 2;
+        let mut voter = ImuVoter::with_defaults(n);
+        let mut excluded_at = None;
+        for tick in 0..10 {
+            let t = tick as f64 * 0.004;
+            let mut bank: Vec<ImuSample> = (0..n)
+                .map(|i| sample(0.010 + 0.001 * i as f64, -9.8, t))
+                .collect();
+            bank[3] = sample(1.0, -9.8, t);
+            let report = voter.vote(&bank, 0);
+            assert_eq!(report.health.len(), n);
+            assert_eq!(report.merged, bank[0]);
+            if report.newly_excluded.contains(&3) {
+                excluded_at = Some(tick);
+                break;
+            }
+        }
+        assert_eq!(excluded_at, Some(4));
+        assert_eq!(voter.excluded(), vec![3]);
     }
 
     #[test]

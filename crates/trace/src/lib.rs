@@ -43,6 +43,12 @@ pub mod settings;
 pub mod triage;
 pub mod wire;
 
+/// True when this build carries the live collector (the `enabled`
+/// feature). Cargo unifies features per build, so a dependent crate's own
+/// `cfg!(feature = "trace")` can disagree with what the collector actually
+/// does; code that needs to know whether black boxes get written asks here.
+pub const ENABLED: bool = cfg!(feature = "enabled");
+
 #[cfg(feature = "enabled")]
 mod collector;
 #[cfg(feature = "enabled")]

@@ -55,52 +55,6 @@ fn vec3_f32(v: Vec3) -> [f32; 3] {
     [v.x as f32, v.y as f32, v.z as f32]
 }
 
-/// Cached observability handles for the per-tick hot path: registered once
-/// per flight so each span costs two clock reads and three atomic adds
-/// (and nothing at all when the `obs` feature is off). Metrics are
-/// write-only — nothing here ever feeds back into simulation state or RNG
-/// streams, preserving bit-reproducibility.
-#[derive(Debug)]
-struct SimMetrics {
-    /// Whole physics tick, histogram `sim_tick_seconds`.
-    tick: imufit_obs::Timer,
-    /// Estimation block (predict + sensor fusion),
-    /// histogram `ekf_update_seconds`.
-    ekf: imufit_obs::Timer,
-    /// Fault-injector bank pass, histogram `fault_injector_seconds`.
-    inject: imufit_obs::Timer,
-    /// Sensor sampling stage (IMU bank + pristine copy),
-    /// histogram `sim_stage_sensors_seconds`.
-    stage_sensors: imufit_obs::Timer,
-    /// Consensus voter pass plus its bookkeeping,
-    /// histogram `sim_stage_voter_seconds`.
-    stage_voter: imufit_obs::Timer,
-    /// Controller block (mitigation, cascade, failsafe edges),
-    /// histogram `sim_stage_control_seconds`.
-    stage_control: imufit_obs::Timer,
-    /// Rigid-body dynamics step, histogram `sim_stage_dynamics_seconds`.
-    stage_dynamics: imufit_obs::Timer,
-}
-
-impl SimMetrics {
-    fn new() -> Self {
-        SimMetrics {
-            tick: imufit_obs::timer("sim_tick"),
-            ekf: imufit_obs::timer("ekf_update"),
-            inject: imufit_obs::timer("fault_injector"),
-            // Child stages of `sim_tick`; together with the injector and
-            // estimator timers above they tile the tick, so `/metrics`
-            // shows where the ~4 µs goes. The injector and estimator
-            // stages reuse `fault_injector`/`ekf_update` rather than
-            // double-timing them under a second name.
-            stage_sensors: imufit_obs::timer("sim_stage_sensors"),
-            stage_voter: imufit_obs::timer("sim_stage_voter"),
-            stage_control: imufit_obs::timer("sim_stage_control"),
-            stage_dynamics: imufit_obs::timer("sim_stage_dynamics"),
-        }
-    }
-}
-
 /// Instantiates the estimator backend a config names.
 fn build_estimator(backend: EstimatorBackend) -> BoxedEstimator {
     match backend {
@@ -159,7 +113,6 @@ pub struct FlightSimulator {
     attack_was_active: bool,
     trace_attack_was: bool,
 
-    metrics: SimMetrics,
     airborne: bool,
     distance_true: f64,
     last_true_position: Vec3,
@@ -182,6 +135,9 @@ pub struct FlightSimulator {
     last_bubble: (f64, f64, f64),
     bubble_inner_was: bool,
     bubble_outer_was: bool,
+    /// The IMU bank's per-tick samples, recycled across ticks (and
+    /// flights) so the steady-state tick does not allocate.
+    imu_samples: Vec<ImuSample>,
     /// Scratch buffers recycled across ticks so steady-state tracing does
     /// not allocate: the pristine pre-injection samples and the instance
     /// vector reclaimed from whatever record the ring last evicted.
@@ -255,7 +211,6 @@ impl FlightSimulator {
             dead_reckon_since: None,
             attack_was_active: false,
             trace_attack_was: false,
-            metrics: SimMetrics::new(),
             airborne: false,
             distance_true: 0.0,
             last_true_position: mission.home,
@@ -271,6 +226,7 @@ impl FlightSimulator {
             last_bubble: (NO_BUBBLE as f64, NO_BUBBLE as f64, NO_BUBBLE as f64),
             bubble_inner_was: false,
             bubble_outer_was: false,
+            imu_samples: Vec::new(),
             trace_clean: Vec::new(),
             trace_pool: Vec::new(),
             config,
@@ -541,10 +497,11 @@ impl FlightSimulator {
         if self.outcome.is_some() {
             return;
         }
-        let _tick_span = self.metrics.tick.enter();
         // Statistical stage profiler: on sampled ticks each `stage` call
         // below closes the previous seam with a single clock read; the
-        // guard's drop attributes the tail to Bookkeeping.
+        // guard's drop attributes the tail to Bookkeeping and feeds the
+        // `sim_tick`/`sim_stage_*` histograms. Unsampled ticks record
+        // nothing, so the tick carries no per-tick timers.
         let mut prof = imufit_obs::profile::tick_begin();
         let dt = self.dt;
         self.tick += 1;
@@ -564,24 +521,20 @@ impl FlightSimulator {
         // corruption, the voter sees perfect agreement, and the merged
         // stream is identical to corrupting the primary directly.
         prof.stage(imufit_obs::profile::Stage::Sensors);
-        let sensors_span = self.metrics.stage_sensors.enter();
         let true_force = self.quad.specific_force_body();
         let true_rate = self.quad.angular_rate_body();
-        let mut samples = self
-            .imu_bank
-            .sample_all(true_force, true_rate, dt, &mut self.rng_imu);
+        // Taken for the tick and handed back before end-of-flight checks.
+        let mut samples = std::mem::take(&mut self.imu_samples);
+        self.imu_bank
+            .sample_all_into(true_force, true_rate, dt, &mut self.rng_imu, &mut samples);
         // The pristine bank is kept only while tracing so the black box can
         // carry the per-instance injected deltas alongside the readings.
         if tracing {
             self.trace_clean.clear();
             self.trace_clean.extend_from_slice(&samples);
         }
-        drop(sensors_span);
         prof.stage(imufit_obs::profile::Stage::Faults);
-        {
-            let _inject_span = self.metrics.inject.enter();
-            self.injector.apply_bank(&mut samples, &mut self.rng_fault);
-        }
+        self.injector.apply_bank(&mut samples, &mut self.rng_fault);
         if tracing {
             // Fault window edges go to the trace here, right after
             // injection, so within a tick the activation precedes any
@@ -634,7 +587,6 @@ impl FlightSimulator {
         }
 
         prof.stage(imufit_obs::profile::Stage::Voter);
-        let voter_span = self.metrics.stage_voter.enter();
         let primary = self.imu_bank.primary();
         let report = self.voter.vote(&samples, primary);
         let corrupted = report.merged;
@@ -710,11 +662,9 @@ impl FlightSimulator {
             primary_excluded: report.primary_excluded,
             switched,
         };
-        drop(voter_span);
 
         // --- Estimation ---
         prof.stage(imufit_obs::profile::Stage::Estimator);
-        let ekf_span = self.metrics.ekf.enter();
         self.estimator.predict(&corrupted, dt);
         if self.every(self.config.gps_rate) {
             let mut fix = self.gps.sample(
@@ -773,11 +723,9 @@ impl FlightSimulator {
         if let Some(kick) = self.attack_injector.take_state_glitch(self.time) {
             self.estimator.perturb_velocity(kick);
         }
-        drop(ekf_span);
 
         // --- Control ---
         prof.stage(imufit_obs::profile::Stage::Controller);
-        let control_span = self.metrics.stage_control.enter();
         let rejecting = self.estimator.health().any_rejecting();
         let nav = *self.estimator.state();
 
@@ -911,11 +859,8 @@ impl FlightSimulator {
             self.failsafe_was_active = true;
         }
 
-        drop(control_span);
-
         // --- Physics ---
         prof.stage(imufit_obs::profile::Stage::Dynamics);
-        let dynamics_span = self.metrics.stage_dynamics.enter();
         self.quad.step_with_wind(out.throttles, wind, dt);
         let s = *self.quad.state();
         self.distance_true += s.position.distance(self.last_true_position);
@@ -924,7 +869,6 @@ impl FlightSimulator {
         if !self.airborne && s.altitude() > 1.5 {
             self.airborne = true;
         }
-        drop(dynamics_span);
         prof.stage(imufit_obs::profile::Stage::Bookkeeping);
 
         // --- Tracking, bubble, telemetry ---
@@ -1038,6 +982,7 @@ impl FlightSimulator {
                 self.trace_pool = old.instances;
             }
         }
+        self.imu_samples = samples;
 
         self.evaluate_end_conditions(&s);
     }
@@ -1648,7 +1593,9 @@ mod tests {
         let mut sim = FlightSimulator::new(&m, faults, config);
         let _ = sim.run_summary();
 
-        if cfg!(feature = "trace") {
+        // The collector follows the unified `imufit-trace/enabled` feature,
+        // not this crate's `trace` feature, so ask the trace crate.
+        if imufit_trace::ENABLED {
             let stats = sim.trace_stats();
             assert!(stats.records_captured > 0, "stats {stats:?}");
             assert!(stats.events >= 2, "stats {stats:?}");
