@@ -9,7 +9,7 @@ use imufit_faults::{FaultInjector, FaultKind, FaultSpec, FaultTarget, InjectionW
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 use imufit_missions::all_missions;
-use imufit_sensors::{GpsSample, ImuSample, ImuSpec};
+use imufit_sensors::{BaroSample, GpsSample, ImuSample, ImuSpec};
 use imufit_uav::{BatchSimulator, FlightSimulator, SimConfig};
 
 fn bench_dynamics_step(c: &mut Criterion) {
@@ -23,30 +23,74 @@ fn bench_dynamics_step(c: &mut Criterion) {
     });
 }
 
+/// Campaign sensor rates as tick periods at the 250 Hz physics rate: GNSS
+/// at 5 Hz, baro at 25 Hz, compass at 10 Hz (`SimConfig` defaults).
+const GPS_EVERY: u64 = 50;
+const BARO_EVERY: u64 = 10;
+const YAW_EVERY: u64 = 25;
+
+/// One campaign-rate EKF tick: predict, then whichever fusions are due.
+fn ekf_tick(ekf: &mut Ekf, tick: u64, imu: &ImuSample, gps: &GpsSample, baro: &BaroSample) {
+    ekf.predict(imu, 0.004);
+    if tick.is_multiple_of(GPS_EVERY) {
+        ekf.fuse_gps(gps);
+    }
+    if tick.is_multiple_of(BARO_EVERY) {
+        ekf.fuse_baro(baro);
+    }
+    if tick.is_multiple_of(YAW_EVERY) {
+        ekf.fuse_yaw(0.0);
+    }
+}
+
+/// The EKF kernels in the covariance regime the campaign flies in: the
+/// filter is warmed through 5000 ticks with GNSS, baro and compass fused at
+/// the campaign rates, so P sits where aiding holds it rather than drifting
+/// toward the clamp as a predict-only loop would.
+///
+/// `ekf/predict` keeps fusing at those rates inside the timed loop, so its
+/// figure is one predict plus the amortized fusion share of a tick (about
+/// 1/50 of a GNSS fix, 1/10 of a baro and 1/25 of a yaw fusion).
+/// `ekf/fuse_gps` fuses one fix into a copy of the warmed filter per
+/// iteration, so every fix lands on the same realistic P; the figure
+/// includes copying the filter.
 fn bench_ekf(c: &mut Criterion) {
-    let mut ekf = Ekf::new(EkfParams::default());
-    ekf.initialize(Vec3::ZERO, Vec3::ZERO, 0.0);
     let imu = ImuSample {
         accel: Vec3::new(0.01, -0.02, -9.80665),
         gyro: Vec3::new(0.001, 0.002, -0.001),
         time: 0.0,
     };
-    c.bench_function("ekf/predict", |b| {
-        b.iter(|| {
-            ekf.predict(black_box(&imu), 0.004);
-            black_box(ekf.state().position)
-        })
-    });
     let gps = GpsSample {
         position: Vec3::ZERO,
         velocity: Vec3::ZERO,
         horizontal_accuracy: 1.2,
         vertical_accuracy: 1.8,
     };
+    let baro = BaroSample {
+        altitude: 0.0,
+        pressure_pa: 101_325.0,
+    };
+    let mut ekf = Ekf::new(EkfParams::default());
+    ekf.initialize(Vec3::ZERO, Vec3::ZERO, 0.0);
+    let mut tick = 0u64;
+    while tick < 5000 {
+        tick += 1;
+        ekf_tick(&mut ekf, tick, &imu, &gps, &baro);
+    }
+    let warmed = ekf.clone();
+
+    c.bench_function("ekf/predict", |b| {
+        b.iter(|| {
+            tick += 1;
+            ekf_tick(&mut ekf, tick, black_box(&imu), &gps, &baro);
+            black_box(ekf.state().position)
+        })
+    });
     c.bench_function("ekf/fuse_gps", |b| {
         b.iter(|| {
-            ekf.fuse_gps(black_box(&gps));
-            black_box(ekf.health().pos_test_ratio)
+            let mut fused = warmed.clone();
+            fused.fuse_gps(black_box(&gps));
+            black_box(fused.health().pos_test_ratio)
         })
     });
 }

@@ -230,35 +230,11 @@ impl Ekf {
         self.distance_traveled += (self.nominal.position - self.last_position).norm();
         self.last_position = self.nominal.position;
 
-        // Error-state Jacobian F = I + A dt.
-        let mut f = Cov::identity();
-        let i3 = Mat3::IDENTITY;
-        // d(dp)/d(dv) = I dt
-        set_block3(&mut f, IDX_POS, IDX_VEL, &i3.scale(dt));
-        // d(dv)/d(dtheta) = -R [a]x dt
-        let ra = (rot * Mat3::skew(accel_body)).scale(-dt);
-        set_block3(&mut f, IDX_VEL, IDX_ANG, &ra);
-        // d(dv)/d(dba) = -R dt
-        set_block3(&mut f, IDX_VEL, IDX_BA, &rot.scale(-dt));
-        // d(dtheta)/d(dtheta) = I - [w]x dt
-        let ww = i3 - Mat3::skew(omega).scale(dt);
-        set_block3(&mut f, IDX_ANG, IDX_ANG, &ww);
-        // d(dtheta)/d(dbg) = -I dt
-        set_block3(&mut f, IDX_ANG, IDX_BG, &i3.scale(-dt));
-
-        // Process noise.
-        let mut q = [0.0; N];
-        for i in 0..3 {
-            q[IDX_POS + i] = 1e-9;
-            q[IDX_VEL + i] = p.accel_noise * p.accel_noise * dt;
-            q[IDX_ANG + i] = p.gyro_noise * p.gyro_noise * dt;
-            q[IDX_BG + i] = p.gyro_bias_walk * p.gyro_bias_walk * dt;
-            q[IDX_BA + i] = p.accel_bias_walk * p.accel_bias_walk * dt;
-        }
-
-        self.covariance =
-            (f * self.covariance * f.transpose() + Cov::from_diagonal(q)).symmetrize();
-        self.clamp_covariance();
+        propagate_covariance(
+            &mut self.covariance,
+            &Jacobian::new(rot, accel_body, omega, dt),
+            &process_noise(&p, dt),
+        );
 
         self.health.time_since_aiding += dt;
         self.time_since_pos_aiding += dt;
@@ -425,14 +401,24 @@ impl Ekf {
         }
         self.inject(&delta);
 
-        // Covariance update: P <- (I - K H) P, H = e_idx^T.
-        let p_row: [f64; N] = std::array::from_fn(|j| self.covariance[(idx, j)]);
-        for i in 0..N {
-            for j in 0..N {
-                self.covariance[(i, j)] -= k[i] * p_row[j];
+        // Covariance update P <- sym((I - K H) P), H = e_idx^T, in place:
+        // the rank-1 update row by row, then each upper-triangle pair is
+        // averaged and written to both halves. Bit for bit the dense update
+        // followed by `symmetrize()`, without the copies.
+        let p_row = self.covariance.rows()[idx];
+        let m = self.covariance.rows_mut();
+        for (row, ki) in m.iter_mut().zip(k) {
+            for (v, pj) in row.iter_mut().zip(p_row) {
+                *v -= ki * pj;
             }
         }
-        self.covariance = self.covariance.symmetrize();
+        for i in 0..N {
+            for j in i..N {
+                let v = 0.5 * (m[i][j] + m[j][i]);
+                m[i][j] = v;
+                m[j][i] = v;
+            }
+        }
         (true, ratio)
     }
 
@@ -475,37 +461,178 @@ impl Ekf {
         self.health.time_since_aiding = 0.0;
         self.time_since_pos_aiding = 0.0;
     }
+}
 
-    /// Keeps the covariance numerically sane during extreme fault windows.
-    fn clamp_covariance(&mut self) {
-        const MAX_VAR: f64 = 1e9;
-        if !self.covariance.is_finite() || self.covariance.max_abs() > MAX_VAR {
-            // Rebuild a conservative diagonal from the clamped current one.
-            let d = self.covariance.diagonal();
-            let mut nd = [0.0; N];
-            for i in 0..N {
-                nd[i] = if d[i].is_finite() {
-                    d[i].clamp(1e-12, MAX_VAR)
-                } else {
-                    MAX_VAR
-                };
-            }
-            self.covariance = Cov::from_diagonal(nd);
+/// The diagonal process noise of one prediction over `dt` seconds.
+fn process_noise(p: &EkfParams, dt: f64) -> [f64; N] {
+    let mut q = [0.0; N];
+    for i in 0..3 {
+        q[IDX_POS + i] = 1e-9;
+        q[IDX_VEL + i] = p.accel_noise * p.accel_noise * dt;
+        q[IDX_ANG + i] = p.gyro_noise * p.gyro_noise * dt;
+        q[IDX_BG + i] = p.gyro_bias_walk * p.gyro_bias_walk * dt;
+        q[IDX_BA + i] = p.accel_bias_walk * p.accel_bias_walk * dt;
+    }
+    q
+}
+
+/// Largest covariance magnitude the filter carries before it falls back to
+/// a conservative diagonal.
+const MAX_VAR: f64 = 1e9;
+
+/// Smallest variance the filter carries.
+const MIN_VAR: f64 = 1e-12;
+
+/// True while `v` needs no clamp: one comparison that is false for NaN and
+/// both infinities, so over a matrix it is `is_finite() && max_abs() <=
+/// MAX_VAR` in a single pass.
+fn within_max_var(v: f64) -> bool {
+    v.abs() <= MAX_VAR
+}
+
+/// Most structural nonzeros in one row of the Jacobian (a velocity row).
+const ROW_NNZ_MAX: usize = 7;
+
+/// Columns of the structural nonzeros of each row of the error-state
+/// Jacobian, ascending; 45 of its 225 entries. Position rows hold the
+/// identity and `dt`, velocity rows the identity, `-R [a]x dt` and `-R dt`,
+/// attitude rows `I - [w]x dt` and `-dt`, bias rows the identity.
+const F_COLS: [&[usize]; N] = [
+    &[0, 3],
+    &[1, 4],
+    &[2, 5],
+    &[3, 6, 7, 8, 12, 13, 14],
+    &[4, 6, 7, 8, 12, 13, 14],
+    &[5, 6, 7, 8, 12, 13, 14],
+    &[6, 7, 8, 9],
+    &[6, 7, 8, 10],
+    &[6, 7, 8, 11],
+    &[9],
+    &[10],
+    &[11],
+    &[12],
+    &[13],
+    &[14],
+];
+
+/// The error-state Jacobian `F = I + A dt` of one prediction, kept as its
+/// structural nonzeros: `vals[r][i]` is the entry in column `F_COLS[r][i]`,
+/// and every entry outside that pattern is exactly zero.
+#[derive(Debug, Clone, Copy)]
+struct Jacobian {
+    vals: [[f64; ROW_NNZ_MAX]; N],
+}
+
+impl Jacobian {
+    fn new(rot: Mat3, accel_body: Vec3, omega: Vec3, dt: f64) -> Self {
+        // d(dv)/d(dtheta) = -R [a]x dt
+        let ra = (rot * Mat3::skew(accel_body)).scale(-dt);
+        // d(dv)/d(dba) = -R dt
+        let rb = rot.scale(-dt);
+        // d(dtheta)/d(dtheta) = I - [w]x dt
+        let ww = Mat3::IDENTITY - Mat3::skew(omega).scale(dt);
+        let mut vals = [[0.0; ROW_NNZ_MAX]; N];
+        for i in 0..3 {
+            // d(dp)/d(dv) = I dt
+            vals[IDX_POS + i][..2].copy_from_slice(&[1.0, dt]);
+            vals[IDX_VEL + i] = [
+                1.0,
+                ra.at(i, 0),
+                ra.at(i, 1),
+                ra.at(i, 2),
+                rb.at(i, 0),
+                rb.at(i, 1),
+                rb.at(i, 2),
+            ];
+            // d(dtheta)/d(dbg) = -I dt
+            vals[IDX_ANG + i][..4].copy_from_slice(&[ww.at(i, 0), ww.at(i, 1), ww.at(i, 2), -dt]);
+            vals[IDX_BG + i][0] = 1.0;
+            vals[IDX_BA + i][0] = 1.0;
         }
-        // Variances must stay positive.
-        for i in 0..N {
-            if self.covariance[(i, i)] < 1e-12 {
-                self.covariance[(i, i)] = 1e-12;
-            }
-        }
+        Jacobian { vals }
+    }
+
+    /// Row `r`'s `(column, value)` pairs in ascending column order.
+    fn row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        F_COLS[r].iter().copied().zip(self.vals[r])
     }
 }
 
-/// Writes a 3x3 block into the big matrix.
-fn set_block3(m: &mut Cov, row: usize, col: usize, b: &Mat3) {
-    for r in 0..3 {
-        for c in 0..3 {
-            m[(row + r, col + c)] = b.at(r, c);
+/// One covariance prediction in place: `P <- sym(F P F^T + diag(q))`, then
+/// the clamp that keeps `P` sane through extreme fault windows.
+///
+/// Bit-identical to the dense `(F * P * F^T + diag(q)).symmetrize()` and
+/// the clamp after it (DESIGN.md §6, "Covariance propagation"): both
+/// products sum the same nonzero terms in the same order from `+0.0`, and a
+/// skipped term is a zero that cannot change such a sum.
+fn propagate_covariance(p: &mut Cov, f: &Jacobian, q: &[f64; N]) {
+    // A = F P: one axpy of a row of P per nonzero of F, in ascending column
+    // order, skipping exact zeros just as `SMatrix::mul` does. Each row of
+    // A is stored as a column of `at` (A transposed).
+    let mut at = [[0.0; N]; N];
+    for r in 0..N {
+        let mut ar = [0.0; N];
+        for (k, fv) in f.row(r) {
+            if fv == 0.0 {
+                continue;
+            }
+            for (acc, pv) in ar.iter_mut().zip(&p.rows()[k]) {
+                *acc += fv * pv;
+            }
+        }
+        for (atc, v) in at.iter_mut().zip(ar) {
+            atc[r] = v;
+        }
+    }
+    // M^T = F A^T the same way: row c of M^T accumulates one row of A^T
+    // per nonzero of F's row c.
+    let mut mt = [[0.0; N]; N];
+    for (c, mtc) in mt.iter_mut().enumerate() {
+        for (k, fv) in f.row(c) {
+            for (acc, av) in mtc.iter_mut().zip(&at[k]) {
+                *acc += av * fv;
+            }
+        }
+    }
+    // P = sym(M + diag(q)), testing the clamp on the way.
+    let out = p.rows_mut();
+    let mut sane = true;
+    for r in 0..N {
+        let d = mt[r][r] + q[r];
+        let v = 0.5 * (d + d);
+        sane &= within_max_var(v);
+        out[r][r] = v;
+        for c in r + 1..N {
+            let v = 0.5 * (mt[c][r] + mt[r][c]);
+            sane &= within_max_var(v);
+            out[r][c] = v;
+            out[c][r] = v;
+        }
+    }
+    if !sane {
+        // The dense product adds A[i][k] * F[i][k] for every k, zero F or
+        // not, so a non-finite entry anywhere in A's row i leaves diagonal
+        // entry i non-finite. The sparse product skips the zero-F terms;
+        // mark the entry so the rebuild sees the same diagonal.
+        for i in 0..N {
+            if !at.iter().all(|atc| atc[i].is_finite()) {
+                out[i][i] = f64::NAN;
+            }
+        }
+        // Rebuild a conservative diagonal from the clamped current one.
+        let d = p.diagonal();
+        *p = Cov::from_diagonal(d.map(|v| {
+            if v.is_finite() {
+                v.clamp(MIN_VAR, MAX_VAR)
+            } else {
+                MAX_VAR
+            }
+        }));
+    }
+    // Variances must stay positive.
+    for (i, row) in p.rows_mut().iter_mut().enumerate() {
+        if row[i] < MIN_VAR {
+            row[i] = MIN_VAR;
         }
     }
 }
@@ -514,6 +641,7 @@ fn set_block3(m: &mut Cov, row: usize, col: usize, b: &Mat3) {
 mod tests {
     use super::*;
     use imufit_math::rng::Pcg;
+    use proptest::prelude::*;
 
     fn level_imu(t: f64) -> ImuSample {
         ImuSample {
@@ -807,6 +935,235 @@ mod tests {
         }
         for v in ekf.covariance_diagonal() {
             assert!(v > 0.0 && v.is_finite(), "variance {v}");
+        }
+    }
+
+    /// Writes a 3x3 block into the big matrix.
+    fn set_block3(m: &mut Cov, row: usize, col: usize, b: &Mat3) {
+        for r in 0..3 {
+            for c in 0..3 {
+                m[(row + r, col + c)] = b.at(r, c);
+            }
+        }
+    }
+
+    /// The dense Jacobian the sparse one replaced: the identity plus five
+    /// 3x3 blocks.
+    fn dense_jacobian(rot: Mat3, accel_body: Vec3, omega: Vec3, dt: f64) -> Cov {
+        let mut f = Cov::identity();
+        let i3 = Mat3::IDENTITY;
+        set_block3(&mut f, IDX_POS, IDX_VEL, &i3.scale(dt));
+        let ra = (rot * Mat3::skew(accel_body)).scale(-dt);
+        set_block3(&mut f, IDX_VEL, IDX_ANG, &ra);
+        set_block3(&mut f, IDX_VEL, IDX_BA, &rot.scale(-dt));
+        let ww = i3 - Mat3::skew(omega).scale(dt);
+        set_block3(&mut f, IDX_ANG, IDX_ANG, &ww);
+        set_block3(&mut f, IDX_ANG, IDX_BG, &i3.scale(-dt));
+        f
+    }
+
+    /// The two-pass clamp the fused predicate replaced.
+    fn dense_clamp(p: &mut Cov) {
+        if !p.is_finite() || p.max_abs() > MAX_VAR {
+            let d = p.diagonal();
+            let mut nd = [0.0; N];
+            for i in 0..N {
+                nd[i] = if d[i].is_finite() {
+                    d[i].clamp(1e-12, MAX_VAR)
+                } else {
+                    MAX_VAR
+                };
+            }
+            *p = Cov::from_diagonal(nd);
+        }
+        for i in 0..N {
+            if p[(i, i)] < 1e-12 {
+                p[(i, i)] = 1e-12;
+            }
+        }
+    }
+
+    /// The oracle: the dense covariance prediction and clamp that
+    /// `propagate_covariance` must reproduce bit for bit.
+    fn dense_propagate(p: &Cov, f: &Cov, q: &[f64; N]) -> Cov {
+        let mut out = (*f * *p * f.transpose() + Cov::from_diagonal(*q)).symmetrize();
+        dense_clamp(&mut out);
+        out
+    }
+
+    /// An SPD covariance `L L^T` whose largest entry is about `magnitude`,
+    /// passed through the clamp as every covariance entering `predict` is,
+    /// with the rows and columns of one reset zeroed: 0 none, 1
+    /// `reset_velocity`, 2 `reset_to_gps`, 3 the baro height reset.
+    fn spd_covariance(seed: u64, magnitude: f64, reset: usize) -> Cov {
+        let mut rng = Pcg::seed_from(seed);
+        let l = Cov::from_fn(|r, c| match c.cmp(&r) {
+            std::cmp::Ordering::Greater => 0.0,
+            std::cmp::Ordering::Equal => 0.1 + rng.uniform(),
+            std::cmp::Ordering::Less => rng.normal(),
+        });
+        let llt = l * l.transpose();
+        let mut p = llt.scale(magnitude / llt.max_abs());
+        let mut zero = |idx: usize, var: f64| {
+            for j in 0..N {
+                p[(idx, j)] = 0.0;
+                p[(j, idx)] = 0.0;
+            }
+            p[(idx, idx)] = var;
+        };
+        match reset {
+            1 => (IDX_VEL..IDX_VEL + 3).for_each(|i| zero(i, 0.25)),
+            2 => {
+                (IDX_POS..IDX_POS + 3).for_each(|i| zero(i, 1.44));
+                (IDX_VEL..IDX_VEL + 3).for_each(|i| zero(i, 0.25));
+            }
+            3 => zero(IDX_POS + 2, 1.0),
+            _ => {}
+        }
+        dense_clamp(&mut p);
+        p
+    }
+
+    /// Runs the sparse kernel and the dense oracle on one input and
+    /// requires the same bits in all 225 entries.
+    fn assert_matches_oracle(p: &Cov, rot: Mat3, accel_body: Vec3, omega: Vec3, dt: f64) {
+        let q = process_noise(&EkfParams::default(), dt);
+        let mut sparse = *p;
+        propagate_covariance(&mut sparse, &Jacobian::new(rot, accel_body, omega, dt), &q);
+        let dense = dense_propagate(p, &dense_jacobian(rot, accel_body, omega, dt), &q);
+        for r in 0..N {
+            for c in 0..N {
+                let (s, d) = (sparse[(r, c)], dense[(r, c)]);
+                assert_eq!(
+                    s.to_bits(),
+                    d.to_bits(),
+                    "entry ({r}, {c}): sparse {s:e}, dense {d:e}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// The sparse in-place kernel reproduces the dense expression on
+        /// the inputs where sparsity and signed zeros matter: yaw-only
+        /// attitudes (exact zeros in R), gyro axes of exactly 0, the whole
+        /// dt range, reset rows and columns, entries near the 1e9 clamp,
+        /// and accelerations large enough to overflow the products.
+        #[test]
+        fn sparse_propagation_matches_the_dense_oracle_bitwise(
+            attitude in (0usize..3, -3.2f64..3.2, -0.7f64..0.7, -0.7f64..0.7),
+            gyro in (0u8..8, -4.0f64..4.0, -4.0f64..4.0, -4.0f64..4.0),
+            accel in (
+                prop::sample::select(vec![1.0, 1.0, 1.0, 1e3, 1e300, 1e306]),
+                -2.0f64..2.0,
+                -2.0f64..2.0,
+                -12.0f64..2.0,
+            ),
+            dt in 1e-4f64..0.02,
+            cov in (
+                0u64..u64::MAX,
+                prop::sample::select(vec![1e-6, 1.0, 1e3, 5e8, 9.9e8, 1e9]),
+                0usize..4,
+            ),
+        ) {
+            let (kind, yaw, roll, pitch) = attitude;
+            let rot = match kind {
+                0 => Quat::from_yaw(yaw),
+                1 => Quat::from_euler(roll, pitch, yaw),
+                _ => Quat::IDENTITY,
+            }
+            .to_rotation_matrix();
+            let (zero_axes, gx, gy, gz) = gyro;
+            let axis = |bit: u8, v: f64| if zero_axes & bit != 0 { 0.0 } else { v };
+            let omega = Vec3::new(axis(1, gx), axis(2, gy), axis(4, gz));
+            let (scale, ax, ay, az) = accel;
+            let accel_body = Vec3::new(ax, ay, az) * scale;
+            let (seed, magnitude, reset) = cov;
+            let p = spd_covariance(seed, magnitude, reset);
+            assert_matches_oracle(&p, rot, accel_body, omega, dt);
+        }
+    }
+
+    #[test]
+    fn oracle_cases_reach_both_clamp_paths() {
+        // Yaw-only, so -R dt holds exact zeros that both kernels skip.
+        let rot = Quat::from_yaw(0.7).to_rotation_matrix();
+        let omega = Vec3::new(0.0, 0.3, 0.0);
+        let hover = Vec3::new(0.3, -0.2, -9.8);
+        // A covariance a fusion overflowed: an infinite accel-bias entry
+        // meets those zeros, which only the zero skip keeps out of A.
+        let mut overflowed = spd_covariance(7, 1.0, 0);
+        overflowed[(IDX_BA, IDX_BA + 1)] = f64::INFINITY;
+        overflowed[(IDX_BA + 1, IDX_BA)] = f64::INFINITY;
+        let cases = [
+            // Finite products past 1e9.
+            (spd_covariance(7, 1e9, 0), hover),
+            // Products that overflow inside A, the path that marks the
+            // diagonal NaN.
+            (spd_covariance(7, 1.0, 0), hover * 1e300),
+            (spd_covariance(7, 1e9, 0), hover * 1e306),
+            (overflowed, hover),
+        ];
+        let q = process_noise(&EkfParams::default(), 0.02);
+        for (p, accel) in cases {
+            assert_matches_oracle(&p, rot, accel, omega, 0.02);
+            let mut out = p;
+            propagate_covariance(&mut out, &Jacobian::new(rot, accel, omega, 0.02), &q);
+            assert_eq!(out[(0, 1)], 0.0, "clamp fired for accel {accel}");
+        }
+    }
+
+    #[test]
+    fn fused_clamp_predicate_matches_the_two_pass_test() {
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            MAX_VAR,
+            -MAX_VAR,
+            MAX_VAR.next_up(),
+            -MAX_VAR.next_up(),
+            0.0,
+            -0.0,
+        ];
+        for v in edges {
+            for (r, c) in [(0, 0), (3, 7), (14, 2)] {
+                let mut m = Cov::identity();
+                m[(r, c)] = v;
+                let two_pass = !m.is_finite() || m.max_abs() > MAX_VAR;
+                let fused = !m.rows().iter().flatten().all(|&x| within_max_var(x));
+                assert_eq!(fused, two_pass, "{v:e} at ({r}, {c})");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_rank_one_update_matches_the_dense_update_bitwise() {
+        for (seed, idx) in [
+            (1, IDX_POS),
+            (2, IDX_VEL + 1),
+            (3, IDX_POS + 2),
+            (4, IDX_ANG + 2),
+        ] {
+            let mut ekf = Ekf::new(EkfParams::default());
+            ekf.initialize(Vec3::ZERO, Vec3::ZERO, 0.0);
+            ekf.covariance = spd_covariance(seed, 2.0, (seed % 4) as usize);
+            let before = ekf.covariance;
+            let s = before[(idx, idx)] + 0.09;
+            let (accepted, _) = ekf.fuse_scalar(idx, 0.1, 0.09);
+            assert!(accepted);
+            let mut dense = before;
+            for i in 0..N {
+                for j in 0..N {
+                    dense[(i, j)] -= before[(i, idx)] / s * before[(idx, j)];
+                }
+            }
+            let dense = dense.symmetrize();
+            for i in 0..N {
+                for j in 0..N {
+                    assert_eq!(ekf.covariance[(i, j)].to_bits(), dense[(i, j)].to_bits());
+                }
+            }
         }
     }
 }

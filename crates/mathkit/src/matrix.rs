@@ -114,6 +114,16 @@ impl<const R: usize, const C: usize> SMatrix<R, C> {
         SMatrix::<BR, BC>::from_fn(|r, c| self.data[row + r][col + c])
     }
 
+    /// The row-major storage, borrowed, for kernels that walk rows directly.
+    pub fn rows(&self) -> &[[f64; C]; R] {
+        &self.data
+    }
+
+    /// The row-major storage, mutably borrowed, for in-place kernels.
+    pub fn rows_mut(&mut self) -> &mut [[f64; C]; R] {
+        &mut self.data
+    }
+
     /// True if every element is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().flatten().all(|v| v.is_finite())
@@ -439,6 +449,14 @@ mod tests {
         assert_eq!(m.max_abs(), 1.0);
         m[(0, 1)] = f64::NAN;
         assert!(!m.is_finite());
+    }
+
+    #[test]
+    fn row_views_alias_the_storage() {
+        let mut m = SMatrix::<2, 3>::from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]);
+        assert_eq!(m.rows()[1], [4.0, 5.0, 6.0]);
+        m.rows_mut()[0][2] = 9.0;
+        assert_eq!(m[(0, 2)], 9.0);
     }
 
     #[test]
