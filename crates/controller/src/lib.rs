@@ -29,7 +29,6 @@
 //! ```
 
 pub mod attitude;
-pub mod batch;
 pub mod failsafe;
 pub mod mitigation;
 pub mod mixer;

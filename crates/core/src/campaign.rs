@@ -16,9 +16,7 @@ use imufit_faults::InjectionWindow;
 use imufit_missions::{all_missions, Mission};
 use imufit_scenario::{AttackSettings, FaultSettings, FlightSettings, ScenarioSpec};
 use imufit_trace::TraceSettings;
-use imufit_uav::{
-    BatchSimulator, FlightOutcome, FlightSimulator, FlightSummary, SimConfig, VehicleBuilder,
-};
+use imufit_uav::{FlightOutcome, FlightSimulator, FlightSummary, SimConfig, VehicleBuilder};
 
 use crate::experiment::{
     attack_matrix, csv_header, experiment_matrix, ExperimentRecord, ExperimentSpec,
@@ -71,13 +69,6 @@ pub struct CampaignConfig {
     pub missions: Vec<Mission>,
     /// Worker threads; 0 = one per available core.
     pub threads: usize,
-    /// Lanes per worker: 1 (the default) runs the scalar per-run pipeline;
-    /// larger values step that many runs in lockstep per worker over the
-    /// batched structure-of-arrays simulator. Results are bit-identical at
-    /// any batch size; batching is incompatible with black-box tracing,
-    /// and workers fall back to the scalar path when tracing is armed.
-    #[serde(default)]
-    pub batch: usize,
     /// Redundant IMU instances per vehicle (the paper's platform flies 3).
     /// Clamped to at least 1 when building simulator configurations.
     pub imu_redundancy: usize,
@@ -110,7 +101,6 @@ impl Default for CampaignConfig {
             injection_start: InjectionWindow::CAMPAIGN_START,
             missions: all_missions(),
             threads: 0,
-            batch: 1,
             imu_redundancy: 3,
             flight: FlightSettings::default(),
             faults: FaultSettings::default(),
@@ -147,7 +137,6 @@ impl CampaignConfig {
                 .take(spec.campaign.missions.max(1))
                 .collect(),
             threads: spec.campaign.threads,
-            batch: spec.campaign.batch,
             imu_redundancy: spec.flight.imu_redundancy,
             flight: spec.flight.clone(),
             faults: spec.faults.clone(),
@@ -302,6 +291,22 @@ impl Campaign {
         spec: ExperimentSpec,
         vehicle: &mut Option<FlightSimulator>,
     ) -> Result<ExperimentRecord, CampaignError> {
+        Self::vehicle_builder(config, &spec)?
+            .build_into(vehicle)
+            .map_err(|e| CampaignError::InvalidConfig(e.to_string()))?;
+        let summary = vehicle
+            .as_mut()
+            .expect("build_into leaves the slot filled on success")
+            .run_summary();
+        Ok(Self::record_from_summary(config, spec, &summary))
+    }
+
+    /// The builder for the vehicle one experiment flies: the spec's
+    /// mission, its derived seed, and its fault and attack schedules.
+    fn vehicle_builder<'c>(
+        config: &'c CampaignConfig,
+        spec: &ExperimentSpec,
+    ) -> Result<VehicleBuilder<'c>, CampaignError> {
         let mission =
             config
                 .missions
@@ -311,36 +316,16 @@ impl Campaign {
                     missions: config.missions.len(),
                 })?;
         let seed = spec.derive_seed(config.seed);
-        let faults = spec.fault.map(|f| vec![f]).unwrap_or_default();
-        let attacks = spec.attack.map(|a| vec![a]).unwrap_or_default();
-        let sim_config = config.sim_config(mission, seed);
-        VehicleBuilder::new(mission, sim_config)
-            .with_faults(faults)
-            .with_attacks(attacks)
-            .build_into(vehicle)
-            .map_err(|e| CampaignError::InvalidConfig(e.to_string()))?;
-        let summary: FlightSummary = vehicle
-            .as_mut()
-            .expect("build_into leaves the slot filled on success")
-            .run_summary();
-        Ok(ExperimentRecord {
-            spec,
-            drone_id: mission.drone.id,
-            outcome: summary.outcome,
-            flight_duration: summary.duration,
-            distance_est: summary.distance_est,
-            distance_true: summary.distance_true,
-            inner_violations: summary.violations.inner,
-            outer_violations: summary.violations.outer,
-            ekf_resets: summary.ekf_resets,
-        })
+        Ok(
+            VehicleBuilder::new(mission, config.sim_config(mission, seed))
+                .with_faults(spec.fault.map(|f| vec![f]).unwrap_or_default())
+                .with_attacks(spec.attack.map(|a| vec![a]).unwrap_or_default()),
+        )
     }
 
     /// Builds the vehicle one experiment flies — the front half of
-    /// [`Campaign::try_run_experiment_into`] — for callers that dispatch
-    /// runs through the batched simulator instead of a recycled scalar
-    /// slot. Construction is the same `VehicleBuilder` path, so a batch
-    /// lane starts from exactly the state a scalar run starts from.
+    /// [`Campaign::try_run_experiment_into`] — for callers that step the
+    /// vehicle themselves (benchmarks, the allocation-free tick test).
     ///
     /// # Errors
     ///
@@ -351,39 +336,19 @@ impl Campaign {
         config: &CampaignConfig,
         spec: &ExperimentSpec,
     ) -> Result<FlightSimulator, CampaignError> {
-        let mission =
-            config
-                .missions
-                .get(spec.mission_index)
-                .ok_or(CampaignError::UnknownMission {
-                    index: spec.mission_index,
-                    missions: config.missions.len(),
-                })?;
-        let seed = spec.derive_seed(config.seed);
-        let faults = spec.fault.map(|f| vec![f]).unwrap_or_default();
-        let attacks = spec.attack.map(|a| vec![a]).unwrap_or_default();
-        let sim_config = config.sim_config(mission, seed);
-        VehicleBuilder::new(mission, sim_config)
-            .with_faults(faults)
-            .with_attacks(attacks)
+        Self::vehicle_builder(config, spec)?
             .build()
             .map_err(|e| CampaignError::InvalidConfig(e.to_string()))
     }
 
     /// Assembles the CSV record for one finished experiment from its
     /// flight summary — the back half of
-    /// [`Campaign::try_run_experiment_into`], shared by the batched
-    /// dispatch paths (in-process workers and fleet work units). An
-    /// aborted summary collapses to the same zeroed record a scalar panic
-    /// produces.
+    /// [`Campaign::try_run_experiment_into`].
     pub fn record_from_summary(
         config: &CampaignConfig,
         spec: ExperimentSpec,
         summary: &FlightSummary,
     ) -> ExperimentRecord {
-        if matches!(summary.outcome, FlightOutcome::Aborted) {
-            return Self::aborted_record(config, spec);
-        }
         let drone_id = config
             .missions
             .get(spec.mission_index)
@@ -400,15 +365,6 @@ impl Campaign {
             outer_violations: summary.violations.outer,
             ekf_resets: summary.ekf_resets,
         }
-    }
-
-    /// Whether this configuration dispatches runs through the batched
-    /// simulator: an explicit `batch > 1`, and no black-box tracing (the
-    /// batched tick carries no tracer; the scenario layer rejects the
-    /// combination up front, and a programmatically-built config falls
-    /// back to the scalar path here).
-    pub fn uses_batch_dispatch(config: &CampaignConfig) -> bool {
-        config.batch > 1 && !config.trace.enabled && config.trace_dir.is_none()
     }
 
     /// Runs one experiment (public so figures/benches can reuse it).
@@ -655,11 +611,6 @@ impl Campaign {
         imufit_obs::counter("campaign_panics_caught_total");
         imufit_obs::counter("voter_exclusions_total");
         imufit_obs::counter("voter_reinstatements_total");
-        let batched = Self::uses_batch_dispatch(&self.config);
-        if batched {
-            imufit_obs::gauge("campaign_batch_lanes").set(0.0);
-            imufit_obs::counter("batch_lane_refills_total");
-        }
         if self.config.trace_dir.is_some() {
             imufit_obs::counter("trace_records_captured_total");
             imufit_obs::counter("trace_records_dropped_total");
@@ -685,18 +636,9 @@ impl Campaign {
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let records: Mutex<Vec<Option<ExperimentRecord>>> = Mutex::new(vec![None; total]);
-        // Fleet-wide occupied-lane count behind the `campaign_batch_lanes`
-        // gauge (gauges are set-only, so workers share one counter).
-        let lanes_busy = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                if batched {
-                    scope.spawn(|| {
-                        self.batched_worker(specs, &next, &done, &records, &lanes_busy, progress);
-                    });
-                    continue;
-                }
                 scope.spawn(|| {
                     // One vehicle per worker, recycled across every
                     // experiment this worker steals: reset() re-derives all
@@ -737,95 +679,6 @@ impl Campaign {
         CampaignResults { records }
     }
 
-    /// One worker's batched dispatch loop: keep up to `batch` lanes of a
-    /// [`BatchSimulator`] filled from the shared work-stealing cursor, step
-    /// every lane in lockstep, and retire finished lanes into records. The
-    /// per-lane RNG streams make each lane bit-identical to the scalar run
-    /// of the same spec, so record contents do not depend on batch size or
-    /// on which lanes happen to share a simulator.
-    ///
-    /// Panic isolation happens *inside* the batch tick (a panicking lane is
-    /// poisoned and retires as [`FlightOutcome::Aborted`]), so one
-    /// diverging run frees its lane instead of killing the worker's whole
-    /// batch. The per-run wall-clock timer is skipped here — lanes overlap
-    /// within a worker, so a per-run span would be meaningless.
-    #[allow(clippy::too_many_arguments)]
-    fn batched_worker(
-        &self,
-        specs: &[ExperimentSpec],
-        next: &AtomicUsize,
-        done: &AtomicUsize,
-        records: &Mutex<Vec<Option<ExperimentRecord>>>,
-        lanes_busy: &AtomicUsize,
-        progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    ) {
-        let total = specs.len();
-        let batch = self.config.batch.max(1);
-        let mut sim = BatchSimulator::new();
-        // lane index -> matrix index of the spec currently flying in it.
-        let mut lane_spec: Vec<Option<usize>> = Vec::new();
-        let finish = |i: usize, record: ExperimentRecord| {
-            records.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(record);
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(cb) = progress {
-                cb(d, total);
-            }
-        };
-        let mut exhausted = false;
-        loop {
-            // Refill free lanes from the shared cursor. A spec that fails to
-            // build never occupies a lane: it collapses straight to the same
-            // aborted record the scalar path produces.
-            while !exhausted && sim.occupied_lanes() < batch {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    exhausted = true;
-                    break;
-                }
-                imufit_obs::counter("campaign_runs_total").inc();
-                imufit_obs::counter("batch_lane_refills_total").inc();
-                match Self::build_vehicle(&self.config, &specs[i]) {
-                    Ok(vehicle) => {
-                        let lane = sim.load(vehicle);
-                        if lane >= lane_spec.len() {
-                            lane_spec.resize(lane + 1, None);
-                        }
-                        lane_spec[lane] = Some(i);
-                        imufit_obs::gauge("campaign_batch_lanes")
-                            .set((lanes_busy.fetch_add(1, Ordering::Relaxed) + 1) as f64);
-                    }
-                    Err(_) => {
-                        imufit_obs::counter("campaign_runs_aborted_total").inc();
-                        finish(i, Self::aborted_record(&self.config, specs[i]));
-                    }
-                }
-            }
-            if sim.occupied_lanes() == 0 {
-                break;
-            }
-            sim.step_all();
-            for lane in sim.finished_lanes() {
-                let summary = sim.retire(lane);
-                imufit_obs::gauge("campaign_batch_lanes")
-                    .set((lanes_busy.fetch_sub(1, Ordering::Relaxed) - 1) as f64);
-                let Some(i) = lane_spec[lane].take() else {
-                    continue;
-                };
-                if matches!(summary.outcome, FlightOutcome::Aborted) {
-                    // A batch lane only aborts by panicking mid-tick, so the
-                    // panic and abort counters move together, exactly as
-                    // they do on the scalar isolated path.
-                    imufit_obs::counter("campaign_panics_caught_total").inc();
-                    imufit_obs::counter("campaign_runs_aborted_total").inc();
-                }
-                finish(
-                    i,
-                    Self::record_from_summary(&self.config, specs[i], &summary),
-                );
-            }
-        }
-    }
-
     /// Runs the whole matrix.
     pub fn run(&self) -> CampaignResults {
         self.run_with_progress(None)
@@ -859,49 +712,6 @@ mod tests {
             assert_eq!(a.flight_duration, b.flight_duration);
             assert_eq!(a.inner_violations, b.inner_violations);
         }
-    }
-
-    /// Batched dispatch is a throughput knob, not a semantics knob: the
-    /// same narrowed campaign run at batch 1, 3, and 8 must emit the exact
-    /// CSV the scalar path emits, and a batch larger than the matrix must
-    /// degrade gracefully (idle lanes, same records).
-    #[test]
-    fn batched_campaign_matches_scalar_byte_for_byte() {
-        let narrow = |batch| {
-            let mut config = CampaignConfig::scaled(1, vec![2.0], 77);
-            config.faults.kinds = vec![imufit_faults::FaultKind::Min];
-            config.batch = batch;
-            config
-        };
-        let scalar = Campaign::new(narrow(1)).run();
-        // 1 gold + 3 targets x 1 kind x 1 duration.
-        assert_eq!(scalar.records().len(), 4);
-        for batch in [3, 8] {
-            let config = narrow(batch);
-            assert!(batch == 1 || Campaign::uses_batch_dispatch(&config));
-            let batched = Campaign::new(config).run();
-            assert_eq!(
-                scalar.to_csv(),
-                batched.to_csv(),
-                "batch={batch} diverged from scalar records"
-            );
-        }
-    }
-
-    /// Tracing falls back to the scalar path even when batch > 1 — the
-    /// batched tick carries no tracer, and black boxes must keep working
-    /// for configs built programmatically (the scenario layer rejects the
-    /// combination up front for files).
-    #[test]
-    fn tracing_forces_scalar_dispatch() {
-        let mut config = CampaignConfig::scaled(1, vec![], 1);
-        config.batch = 8;
-        assert!(Campaign::uses_batch_dispatch(&config));
-        config.trace.enabled = true;
-        assert!(!Campaign::uses_batch_dispatch(&config));
-        config.trace.enabled = false;
-        config.trace_dir = Some(std::env::temp_dir());
-        assert!(!Campaign::uses_batch_dispatch(&config));
     }
 
     #[test]

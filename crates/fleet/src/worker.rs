@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use imufit_core::{Campaign, CampaignConfig, ExperimentSpec};
+use imufit_core::{Campaign, CampaignConfig};
 use imufit_math::rng::Pcg;
 use imufit_obs::profile;
 use imufit_scenario::ScenarioSpec;
-use imufit_uav::BatchSimulator;
 
 use crate::protocol::{encode_msg, read_msg, write_msg, ExecReport, FleetError, FleetMsg};
 
@@ -72,10 +71,10 @@ fn connect_with_backoff(addr: SocketAddr, worker_id: u32) -> Result<TcpStream, F
 }
 
 /// Execution accounting for one assigned unit: wall-clock plus the tick
-/// profiler's per-stage self-time delta over the unit's window. Under the
-/// batched loop several lanes share ticks, so stage deltas are a
-/// statistical attribution, not an exact per-unit split — which is all the
-/// span journal's profiler columns claim to be.
+/// profiler's per-stage self-time delta over the unit's window. The
+/// profiler samples one tick in N, so stage deltas are a statistical
+/// attribution, not an exact per-unit split — which is all the span
+/// journal's profiler columns claim to be.
 struct ExecWindow {
     started: Instant,
     stage_base: [u64; profile::STAGE_COUNT],
@@ -137,10 +136,6 @@ struct WorkerContext {
     config: CampaignConfig,
     lease_timeout: Duration,
 }
-
-/// A batched lane's in-flight bookkeeping: the coordinator unit flying
-/// in it, its spec, trace span, campaign id, and execution window.
-type LaneUnit = (u32, ExperimentSpec, u64, u32, ExecWindow);
 
 /// What a `Welcome` put this session into: the classic one-campaign mode
 /// (scenario arrives in the handshake) or pool mode (scenarios arrive
@@ -253,10 +248,7 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
 
     let result = match &mode {
         SessionMode::Pool { .. } => pooled_work_loop(&mut stream, &writer),
-        SessionMode::OneShot(ctx) if Campaign::uses_batch_dispatch(&ctx.config) => {
-            batched_work_loop(ctx, &mut stream, &writer)
-        }
-        SessionMode::OneShot(ctx) => scalar_work_loop(ctx, &mut stream, &writer),
+        SessionMode::OneShot(ctx) => one_shot_work_loop(ctx, &mut stream, &writer),
     };
 
     stop.store(true, Ordering::SeqCst);
@@ -266,7 +258,7 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
 }
 
 /// The classic one-run-at-a-time work loop: request, fly, report.
-fn scalar_work_loop(
+fn one_shot_work_loop(
     ctx: &WorkerContext,
     stream: &mut TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
@@ -319,7 +311,7 @@ fn scalar_work_loop(
     }
 }
 
-/// The pool-mode work loop: like the scalar loop, but each `Assign`
+/// The pool-mode work loop: like the one-shot loop, but each `Assign`
 /// carries a campaign id, the first assignment from a campaign brings its
 /// scenario inline, and results echo the id so unit indices stay
 /// campaign-local. Runs until the pool says `Done` (shutdown).
@@ -384,129 +376,6 @@ fn pooled_work_loop(
             }
             (FleetMsg::Done, _) => return Ok(WorkerExit::CampaignComplete),
             _ => return Err(FleetError::Malformed("unexpected message in work loop")),
-        }
-    }
-}
-
-/// The batched work loop: keep up to `campaign.batch` lockstep lanes of a
-/// [`BatchSimulator`] leased from the coordinator, step them together, and
-/// report each lane the tick it finishes. Lane records are bit-identical
-/// to the scalar loop's (each lane owns its RNG streams), so the merged
-/// CSV cannot tell the two loops apart.
-///
-/// `NoWork` throttles further lease requests for ~50 ms but never stalls
-/// the simulator: a partially-filled batch keeps flying while the
-/// coordinator waits on other workers' leases. After `Done` the worker
-/// stops requesting and drains its remaining lanes before disconnecting.
-fn batched_work_loop(
-    ctx: &WorkerContext,
-    stream: &mut TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
-) -> Result<WorkerExit, FleetError> {
-    let batch = ctx.config.batch.max(1);
-    let mut sim = BatchSimulator::new();
-    // lane index -> the coordinator unit flying in it, its trace span,
-    // campaign id, and execution window (opened at lane load).
-    let mut lane_unit: Vec<Option<LaneUnit>> = Vec::new();
-    let mut done_seen = false;
-    let mut next_request = std::time::Instant::now();
-    loop {
-        while !done_seen
-            && sim.occupied_lanes() < batch
-            && std::time::Instant::now() >= next_request
-        {
-            {
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                write_msg(&mut *w, &FleetMsg::Request)?;
-            }
-            match read_msg(stream)? {
-                (
-                    FleetMsg::Assign {
-                        unit,
-                        spec,
-                        span,
-                        campaign,
-                        ..
-                    },
-                    _,
-                ) => {
-                    if flaky_unit_should_drop(unit) {
-                        return Err(FleetError::Io("flaky-unit test hook tripped".into()));
-                    }
-                    imufit_obs::counter("campaign_runs_total").inc();
-                    imufit_obs::counter("batch_lane_refills_total").inc();
-                    match Campaign::build_vehicle(&ctx.config, &spec) {
-                        Ok(vehicle) => {
-                            let lane = sim.load(vehicle);
-                            if lane >= lane_unit.len() {
-                                lane_unit.resize_with(lane + 1, || None);
-                            }
-                            lane_unit[lane] =
-                                Some((unit, spec, span, campaign, ExecWindow::open()));
-                            imufit_obs::gauge("campaign_batch_lanes")
-                                .set(sim.occupied_lanes() as f64);
-                        }
-                        Err(_) => {
-                            // A spec that cannot build collapses straight to
-                            // the aborted record, exactly like the scalar
-                            // path — no lane is consumed.
-                            imufit_obs::counter("campaign_runs_aborted_total").inc();
-                            let record = Campaign::aborted_record_for(&ctx.config, spec);
-                            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                            write_msg(
-                                &mut *w,
-                                &FleetMsg::Result {
-                                    unit,
-                                    record,
-                                    span,
-                                    exec: ExecReport::default(),
-                                    campaign,
-                                },
-                            )?;
-                        }
-                    }
-                }
-                (FleetMsg::NoWork, _) => {
-                    // Leased-out units may come back; retry shortly, but
-                    // keep stepping whatever lanes we already hold.
-                    next_request = std::time::Instant::now() + Duration::from_millis(50);
-                }
-                (FleetMsg::Done, _) => done_seen = true,
-                _ => return Err(FleetError::Malformed("unexpected message in work loop")),
-            }
-        }
-        if sim.occupied_lanes() == 0 {
-            if done_seen {
-                return Ok(WorkerExit::CampaignComplete);
-            }
-            // Nothing to fly and nothing assignable yet: idle politely.
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        }
-        sim.step_all();
-        for lane in sim.finished_lanes() {
-            let summary = sim.retire(lane);
-            imufit_obs::gauge("campaign_batch_lanes").set(sim.occupied_lanes() as f64);
-            let Some((unit, spec, span, campaign, window)) = lane_unit[lane].take() else {
-                continue;
-            };
-            if matches!(summary.outcome, imufit_uav::FlightOutcome::Aborted) {
-                imufit_obs::counter("campaign_panics_caught_total").inc();
-                imufit_obs::counter("campaign_runs_aborted_total").inc();
-            }
-            let record = Campaign::record_from_summary(&ctx.config, spec, &summary);
-            let exec = window.close(ticks_for(&ctx.config, record.flight_duration));
-            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-            write_msg(
-                &mut *w,
-                &FleetMsg::Result {
-                    unit,
-                    record,
-                    span,
-                    exec,
-                    campaign,
-                },
-            )?;
         }
     }
 }

@@ -29,7 +29,6 @@
 pub mod angles;
 pub mod filter;
 pub mod geo;
-pub mod lanes;
 pub mod mat3;
 pub mod matrix;
 pub mod quat;

@@ -1,13 +1,14 @@
 //! Tick-stage statistical profiler: where the simulated tick's wall-clock
 //! actually goes.
 //!
-//! The batched and scalar tick pipelines are stage-major (sensors → faults
-//! → voter → estimator → controller → dynamics); this module samples every
-//! Nth tick per thread (default [`DEFAULT_SAMPLE_PERIOD`]) and, on sampled
-//! ticks only, timestamps each stage seam. Unsampled ticks pay one
-//! thread-local counter increment and a branch, which is what keeps the
-//! profiler cheap enough to leave on (<2% tick overhead, proven by the
-//! `sim/profiled_tick` bench).
+//! The tick pipeline is stage-major (sensors → faults → voter → estimator
+//! → controller → dynamics); this module samples every Nth tick per thread
+//! (default [`DEFAULT_SAMPLE_PERIOD`]) and, on sampled ticks only,
+//! timestamps each stage seam. Unsampled ticks pay one thread-local
+//! counter increment and a branch, which is what is meant to keep the
+//! profiler cheap enough to leave on. That cost is not measured yet: the
+//! `sim/profiled_tick`/`sim/unprofiled_tick` bench pair links this crate
+//! without `enabled`, so both benches run the same no-op profiler.
 //!
 //! Because one `Instant::now()` closes a stage and opens the next, the
 //! per-stage self-times tile the sampled tick exactly: the accounted
@@ -27,7 +28,7 @@
 //! simulation state or RNG streams — and compiles to zero-sized no-ops
 //! without the `enabled` feature.
 
-/// One pipeline stage; the scalar and batched ticks share the set.
+/// One stage of the vehicle tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Clock advance + wind field step.

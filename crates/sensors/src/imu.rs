@@ -168,8 +168,8 @@ impl RedundantImu {
 
     /// Allocation-free variant of [`RedundantImu::sample_all`]: clears `out`
     /// and refills it in instance order, drawing from `rng` in exactly the
-    /// same sequence. The batched tick pipeline reuses one buffer per lane
-    /// across the whole flight.
+    /// same sequence. The vehicle tick reuses one buffer across the whole
+    /// flight.
     pub fn sample_all_into(
         &mut self,
         true_specific_force: Vec3,

@@ -29,7 +29,6 @@
 pub mod accel;
 pub mod bank;
 pub mod baro;
-pub mod batch;
 pub mod gps;
 pub mod gyro;
 pub mod imu;
@@ -39,7 +38,6 @@ pub mod voter;
 pub use accel::Accelerometer;
 pub use bank::{BankVec, INLINE_INSTANCES};
 pub use baro::{BaroSample, BaroSpec, Barometer};
-pub use batch::VoteOutcome;
 pub use gps::{Gps, GpsSample, GpsSpec};
 pub use gyro::Gyroscope;
 pub use imu::{

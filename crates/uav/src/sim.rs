@@ -984,7 +984,7 @@ impl FlightSimulator {
         }
         self.imu_samples = samples;
 
-        self.evaluate_end_conditions(&s);
+        self.outcome = self.classify_end(&s);
     }
 
     /// Labels of the faults currently inside (`active`) or already past
@@ -1078,127 +1078,63 @@ impl FlightSimulator {
 
     /// Ticks a sub-rate scheduler: true when an event at `rate` Hz is due.
     fn every(&self, rate: f64) -> bool {
-        due(self.tick, self.config.physics_rate, rate)
+        let period = (self.config.physics_rate / rate).round() as u64;
+        period <= 1 || self.tick.is_multiple_of(period)
     }
 
-    /// Crash / completion / timeout classification on ground truth.
-    fn evaluate_end_conditions(&mut self, s: &imufit_dynamics::RigidBodyState) {
-        if let Some(outcome) = classify_end(
-            s,
-            self.time,
-            self.config.max_sim_time,
-            self.airborne,
-            &self.controller,
-        ) {
-            self.outcome = Some(outcome);
+    /// Crash / completion / timeout classification on ground truth: the
+    /// outcome that ends the flight in state `s`, or `None` while it flies
+    /// on.
+    fn classify_end(&self, s: &imufit_dynamics::RigidBodyState) -> Option<FlightOutcome> {
+        let time = self.time;
+        let controller = &self.controller;
+        // A failure is a failsafe activation if failsafe latched first,
+        // otherwise a crash.
+        let failure = || match controller.failsafe_reason() {
+            Some(reason) => FlightOutcome::Failsafe { time, reason },
+            None => FlightOutcome::Crashed { time },
+        };
+
+        // Watchdog.
+        if time >= self.config.max_sim_time {
+            return Some(FlightOutcome::Timeout);
         }
-    }
 
-    /// Decomposes this vehicle into the per-lane state the batch simulator
-    /// stores in its structure-of-arrays slots. Everything the tick
-    /// pipeline feeds back into — sensors, injectors, estimator,
-    /// controller, RNG streams — moves over verbatim; the write-only sinks
-    /// (recorder, telemetry brokers, tracer) are dropped, which is exactly
-    /// what keeps the batched tick cheap without perturbing flight state.
-    pub(crate) fn into_lane(self) -> crate::batch::LaneParts {
-        crate::batch::LaneParts {
-            config: self.config,
-            dt: self.dt,
-            time: self.time,
-            tick: self.tick,
-            quad: self.quad,
-            imu_bank: self.imu_bank,
-            voter: self.voter,
-            baro: self.baro,
-            gps: self.gps,
-            mag: self.mag,
-            injector: self.injector,
-            attack_injector: self.attack_injector,
-            estimator: self.estimator,
-            controller: self.controller,
-            wind: self.wind,
-            bubble: self.bubble,
-            mitigation: self.mitigation,
-            monitors: self.monitors,
-            rng_imu: self.rng_imu,
-            rng_gps: self.rng_gps,
-            rng_baro: self.rng_baro,
-            rng_compass: self.rng_compass,
-            rng_wind: self.rng_wind,
-            rng_fault: self.rng_fault,
-            rng_attack: self.rng_attack,
-            dead_reckon_since: self.dead_reckon_since,
-            airborne: self.airborne,
-            distance_true: self.distance_true,
-            last_true_position: self.last_true_position,
-            outcome: self.outcome,
-        }
-    }
-}
-
-/// Sub-rate scheduler shared by the scalar and batched ticks: true when an
-/// event at `rate` Hz is due on physics tick `tick`.
-pub(crate) fn due(tick: u64, physics_rate: f64, rate: f64) -> bool {
-    let period = (physics_rate / rate).round() as u64;
-    period <= 1 || tick.is_multiple_of(period)
-}
-
-/// Crash / completion / timeout classification on ground truth, shared by
-/// the scalar and batched ticks so a lane cannot classify differently from
-/// the single-vehicle pipeline.
-pub(crate) fn classify_end(
-    s: &imufit_dynamics::RigidBodyState,
-    time: f64,
-    max_sim_time: f64,
-    airborne: bool,
-    controller: &FlightController,
-) -> Option<FlightOutcome> {
-    // A failure is a failsafe activation if failsafe latched first,
-    // otherwise a crash.
-    let failure = || match controller.failsafe_reason() {
-        Some(reason) => FlightOutcome::Failsafe { time, reason },
-        None => FlightOutcome::Crashed { time },
-    };
-
-    // Watchdog.
-    if time >= max_sim_time {
-        return Some(FlightOutcome::Timeout);
-    }
-
-    // Divergence / flyaway: range safety would terminate the flight.
-    let out_of_bounds = s.position.norm_xy() > FLYAWAY_RANGE || s.altitude() > FLYAWAY_ALTITUDE;
-    if !s.is_finite() || out_of_bounds {
-        return Some(failure());
-    }
-
-    // Ground contact while airborne. Classification follows the flight
-    // controller's state: if failsafe latched before the impact the run
-    // counts as a failsafe activation (the paper's Table IV splits
-    // failures by whether the failsafe was enabled), otherwise a hard
-    // impact is a crash.
-    if airborne && s.altitude() < 0.15 {
-        let hard = s.velocity.z > CRASH_VERTICAL_SPEED
-            || s.velocity.norm_xy() > CRASH_HORIZONTAL_SPEED
-            || s.tilt() > CRASH_TILT;
-        if hard {
+        // Divergence / flyaway: range safety would terminate the flight.
+        let out_of_bounds = s.position.norm_xy() > FLYAWAY_RANGE || s.altitude() > FLYAWAY_ALTITUDE;
+        if !s.is_finite() || out_of_bounds {
             return Some(failure());
         }
-        // Gentle contact: legitimate landing or an unscheduled soft
-        // touchdown; wait for the controller to disarm (below).
-    }
 
-    // Disarm: the flight controller believes the flight is over.
-    if controller.is_disarmed() {
-        if s.altitude() > 2.0 {
-            // Land-detector false positive mid-air: the vehicle will
-            // fall from here.
-            return Some(failure());
-        } else if controller.mission_completed() {
-            return Some(FlightOutcome::Completed);
+        // Ground contact while airborne. Classification follows the flight
+        // controller's state: if failsafe latched before the impact the run
+        // counts as a failsafe activation (the paper's Table IV splits
+        // failures by whether the failsafe was enabled), otherwise a hard
+        // impact is a crash.
+        if self.airborne && s.altitude() < 0.15 {
+            let hard = s.velocity.z > CRASH_VERTICAL_SPEED
+                || s.velocity.norm_xy() > CRASH_HORIZONTAL_SPEED
+                || s.tilt() > CRASH_TILT;
+            if hard {
+                return Some(failure());
+            }
+            // Gentle contact: legitimate landing or an unscheduled soft
+            // touchdown; wait for the controller to disarm (below).
         }
-        return Some(failure());
+
+        // Disarm: the flight controller believes the flight is over.
+        if controller.is_disarmed() {
+            if s.altitude() > 2.0 {
+                // Land-detector false positive mid-air: the vehicle will
+                // fall from here.
+                return Some(failure());
+            } else if controller.mission_completed() {
+                return Some(FlightOutcome::Completed);
+            }
+            return Some(failure());
+        }
+        None
     }
-    None
 }
 
 #[cfg(test)]
@@ -1458,6 +1394,36 @@ mod tests {
             .map(|e| e.param)
             .collect();
         assert!(excluded.contains(&0), "excluded instances: {excluded:?}");
+    }
+
+    #[test]
+    fn voter_moves_the_bank_primary_off_an_excluded_instance() {
+        // A persistently deviant primary: once the voter excludes it, the
+        // tick must move the bank's primary to the voter's pick and log it.
+        let m = short_mission();
+        let faults = vec![FaultSpec::instance(
+            FaultKind::Min,
+            FaultTarget::Imu,
+            InjectionWindow::new(30.0, 10.0),
+            0,
+        )];
+        let mut sim = FlightSimulator::new(&m, faults, SimConfig::default_for(&m, 29));
+        assert_eq!(sim.imu_bank.primary(), 0);
+        let voter_switch = |sim: &FlightSimulator| {
+            sim.recorder
+                .events()
+                .iter()
+                .find(|e| {
+                    e.kind == FlightEventKind::PrimarySwitch && e.detail.starts_with("voter:")
+                })
+                .map(|e| e.param)
+        };
+        while sim.outcome.is_none() && voter_switch(&sim).is_none() {
+            sim.step();
+        }
+        let selected = voter_switch(&sim).expect("the voter never switched the primary");
+        assert_ne!(selected, 0, "the voter picked the deviant instance");
+        assert_eq!(sim.imu_bank.primary() as u32, selected);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The tick-stage profiler's seams must tile the real pipelines: with
+//! The tick-stage profiler's seams must tile the real pipeline: with
 //! every tick sampled, the per-stage self-times have to account for ≥95%
-//! of the measured tick wall-clock on both the batched and the scalar
-//! simulators (anything less means a pipeline stage runs outside the
-//! marked seams).
+//! of the measured tick wall-clock (anything less means a pipeline stage
+//! runs outside the marked seams).
 #![cfg(feature = "obs")]
 
 use imufit_missions::all_missions;
 use imufit_obs::profile;
-use imufit_uav::{BatchSimulator, FlightSimulator, SimConfig};
+use imufit_uav::{FlightSimulator, SimConfig};
 
 /// One test body so the profiler's global accumulators are never shared
 /// between concurrently running tests.
@@ -16,26 +15,18 @@ fn stage_seams_account_for_the_tick() {
     let missions = all_missions();
     let mission = &missions[0];
 
-    // --- Batched pipeline, 4 lanes ---
-    let mut batch = BatchSimulator::new();
-    for lane in 0..4u64 {
-        batch.load(FlightSimulator::new(
-            mission,
-            Vec::new(),
-            SimConfig::default_for(mission, 1 + lane),
-        ));
-    }
     profile::reset();
     profile::set_enabled(true);
     profile::set_sample_period(1);
+    let mut sim = FlightSimulator::new(mission, Vec::new(), SimConfig::default_for(mission, 9));
     for _ in 0..2000 {
-        batch.step_all();
+        sim.step();
     }
     assert_eq!(profile::sampled_ticks(), 2000, "every tick must be sampled");
     let fraction = profile::accounted_fraction();
     assert!(
         fraction >= 0.95,
-        "batched stage seams account for {:.1}% of the tick; want >= 95%",
+        "stage seams account for {:.1}% of the tick; want >= 95%",
         fraction * 100.0
     );
     // Every pipeline stage actually did work on a 2000-tick window.
@@ -56,20 +47,6 @@ fn stage_seams_account_for_the_tick() {
         assert!(folded.contains(&format!("tick;{name} ")), "{folded}");
     }
     assert!(profile::render_table().contains("% accounted"));
-
-    // --- Scalar pipeline ---
-    profile::reset();
-    let mut sim = FlightSimulator::new(mission, Vec::new(), SimConfig::default_for(mission, 9));
-    for _ in 0..2000 {
-        sim.step();
-    }
-    assert_eq!(profile::sampled_ticks(), 2000);
-    let fraction = profile::accounted_fraction();
-    assert!(
-        fraction >= 0.95,
-        "scalar stage seams account for {:.1}% of the tick; want >= 95%",
-        fraction * 100.0
-    );
 
     profile::set_sample_period(profile::DEFAULT_SAMPLE_PERIOD);
     profile::set_enabled(true);
