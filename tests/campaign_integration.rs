@@ -2,7 +2,8 @@
 //! aggregated into the paper's tables.
 
 use imufit::core::tables::{Table2, Table3, Table4};
-use imufit::core::{report, Campaign, CampaignConfig};
+use imufit::core::{report, Campaign, CampaignConfig, ExperimentRecord};
+use imufit::prelude::{FaultKind, FaultTarget};
 
 /// One shared tiny-but-real campaign for all assertions in this file
 /// (1 mission x 2 durations = 43 experiments; the expensive part).
@@ -94,4 +95,52 @@ fn progress_callback_counts_every_experiment() {
     };
     let _ = Campaign::new(config).run_with_progress(Some(&cb));
     assert_eq!(count.load(Ordering::Relaxed), total_expected);
+}
+
+/// Every field of two records, floats compared as raw IEEE-754 bits.
+fn assert_records_bitwise(want: &ExperimentRecord, got: &ExperimentRecord, cell: &str) {
+    assert_eq!(want.spec, got.spec, "{cell}");
+    assert_eq!(want.drone_id, got.drone_id, "{cell}");
+    assert_eq!(want.outcome, got.outcome, "{cell}");
+    for (name, a, b) in [
+        ("duration", want.flight_duration, got.flight_duration),
+        ("distance_est", want.distance_est, got.distance_est),
+        ("distance_true", want.distance_true, got.distance_true),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{cell}: {name} {a} vs {b}");
+    }
+    assert_eq!(want.inner_violations, got.inner_violations, "{cell}");
+    assert_eq!(want.outer_violations, got.outer_violations, "{cell}");
+    assert_eq!(want.ekf_resets, got.ekf_resets, "{cell}");
+}
+
+/// The split entry points benchmarks and the allocation-free tick test
+/// use (`build_vehicle`, then `run_summary`, then `record_from_summary`)
+/// must reproduce, bit for bit, the record a campaign writes, and so must
+/// the isolated harness flying every spec through one recycled vehicle.
+#[test]
+fn split_and_recycled_runs_match_the_campaign_bitwise() {
+    for seed in [7u64, 99] {
+        let mut config = CampaignConfig::scaled(1, vec![2.0], seed);
+        config.faults.kinds = vec![FaultKind::Min, FaultKind::Freeze];
+        config.faults.targets = vec![FaultTarget::Gyrometer];
+        let specs = config.matrix();
+        assert_eq!(specs.len(), 3, "1 gold + 2 gyro kinds");
+
+        let campaign = Campaign::new(config.clone()).run();
+        assert_eq!(campaign.records().len(), specs.len());
+
+        let mut slot = None;
+        for (spec, want) in specs.iter().zip(campaign.records()) {
+            let cell = format!("seed={seed} spec={spec:?}");
+            let summary = Campaign::build_vehicle(&config, spec)
+                .expect("campaign specs build")
+                .run_summary();
+            let split = Campaign::record_from_summary(&config, *spec, &summary);
+            assert_records_bitwise(want, &split, &format!("{cell} split"));
+
+            let recycled = Campaign::run_experiment_isolated_into(&config, *spec, &mut slot);
+            assert_records_bitwise(want, &recycled, &format!("{cell} recycled"));
+        }
+    }
 }
